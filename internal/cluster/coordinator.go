@@ -487,7 +487,7 @@ func (c *Coordinator) run(h *Handle) {
 		h.record(slot, &engine.JobResult{
 			ID: spec.ID(), Spec: spec,
 			Err: context.Canceled.Error(), Canceled: true,
-		})
+		}, nil)
 	}
 }
 
@@ -732,9 +732,7 @@ func (c *Coordinator) recoverJobs(ctx context.Context, h *Handle, peer string, s
 func (c *Coordinator) failSlots(h *Handle, slots []int, err error) {
 	for _, s := range slots {
 		spec := h.jobs[s]
-		if h.record(s, &engine.JobResult{ID: spec.ID(), Spec: spec, Err: err.Error()}) {
-			c.jobsFailed.Add(1)
-		}
+		h.record(s, &engine.JobResult{ID: spec.ID(), Spec: spec, Err: err.Error()}, func() { c.jobsFailed.Add(1) })
 	}
 }
 

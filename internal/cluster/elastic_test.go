@@ -99,15 +99,11 @@ func TestNodeKillRejoinMidSweep(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	survivorRunsAtKill := make(map[string]uint64)
-	for _, n := range cl.Nodes {
-		if n != victim {
-			survivorRunsAtKill[n.Name] = n.Engine.Stats().RunsExecuted
-		}
-	}
-	victim.Kill()
 	// Everything merged from here back is the protected set: these jobs
-	// must never be simulated again by anyone.
+	// must never be simulated again by anyone. The merged set is counted
+	// before the survivors' run counters are read, so a job finishing in
+	// between is charged to neither side: its run predates the snapshot
+	// and its slot stays in the unmerged remainder.
 	mergedAtKill := 0
 	mergedBytes := make(map[string][]byte)
 	for _, r := range h.Results() {
@@ -116,6 +112,13 @@ func TestNodeKillRejoinMidSweep(t *testing.T) {
 			mergedBytes[r.ID] = canonicalResult(t, r)
 		}
 	}
+	survivorRunsAtKill := make(map[string]uint64)
+	for _, n := range cl.Nodes {
+		if n != victim {
+			survivorRunsAtKill[n.Name] = n.Engine.Stats().RunsExecuted
+		}
+	}
+	victim.Kill()
 	victim.Restart(t)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)

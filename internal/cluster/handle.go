@@ -101,7 +101,11 @@ func (h *Handle) Cancel() {
 
 // record stores slot's result exactly once and closes the sweep when
 // the last slot resolves. It reports whether the result was taken.
-func (h *Handle) record(slot int, res *engine.JobResult) bool {
+// count, when non-nil, runs under h.mu once the result is taken, as the
+// engine's handle counts: a reader that sees the sweep done (Status or
+// Wait) sees the caller's counters include every result. count must
+// not call back into the handle.
+func (h *Handle) record(slot int, res *engine.JobResult, count func()) bool {
 	h.mu.Lock()
 	if h.results[slot] != nil { // already merged (defensive; rounds own disjoint slots)
 		h.mu.Unlock()
@@ -131,6 +135,9 @@ func (h *Handle) record(slot int, res *engine.JobResult) bool {
 	// Append under h.mu so the event's Seq always equals the done count
 	// it advanced to (the log has its own lock and never calls back).
 	h.events.Append(res)
+	if count != nil {
+		count()
+	}
 	last := h.done == len(h.jobs)
 	h.mu.Unlock()
 	if last {

@@ -248,18 +248,19 @@ func (c *Coordinator) openHandles() []*Handle {
 // kicks off the replica write-through for successful results. It
 // reports whether the slot was taken.
 func (c *Coordinator) mergeResult(h *Handle, slot int, peer string, res *engine.JobResult, recovered bool) bool {
-	if !h.record(slot, res) {
+	if !h.record(slot, res, func() {
+		c.jobsMerged.Add(1)
+		if recovered {
+			c.jobsRecovered.Add(1)
+		}
+		c.mu.Lock()
+		if st := c.shards[peer]; st != nil {
+			st.merged++
+		}
+		c.mu.Unlock()
+	}) {
 		return false
 	}
-	c.jobsMerged.Add(1)
-	if recovered {
-		c.jobsRecovered.Add(1)
-	}
-	c.mu.Lock()
-	if st := c.shards[peer]; st != nil {
-		st.merged++
-	}
-	c.mu.Unlock()
 	if res.Err == "" && !res.Canceled {
 		c.replicateResult(peer, res)
 	}

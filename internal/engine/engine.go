@@ -343,23 +343,19 @@ func (e *Engine) genTraceFor(ctx context.Context, bench string, g cache.Geometry
 // resolves from disk without re-simulating. This is the path the
 // experiment suite memoises through.
 func (e *Engine) RunJob(ctx context.Context, spec JobSpec) (*JobResult, error) {
-	return e.runJob(ctx, spec, false)
+	return e.runJobTimed(ctx, spec, spec.runKey(), false, nil)
 }
 
-// runJob is RunJob with the caller's pin state made explicit: sweep
-// workers (pinned=true) may resolve condemned traces — their sweep
-// pinned the trace at submission, so a concurrent DELETE defers to
-// them — while direct callers see a removed trace as unknown, exactly
-// like a new submission would.
-func (e *Engine) runJob(ctx context.Context, spec JobSpec, pinned bool) (*JobResult, error) {
-	return e.runJobTimed(ctx, spec, pinned, nil)
-}
-
-// runJobTimed is runJob with an optional phase clock. The persist phase
-// is the result-cache traversal minus the job's own computation: the
+// runJobTimed is RunJob with the caller's run key, pin state and phase
+// clock made explicit. runKey is spec.runKey(), which sweep workers
+// carry from Submit's grouping rather than derive again. Sweep workers (pinned=true) may resolve condemned traces — their
+// sweep pinned the trace at submission, so a concurrent DELETE defers
+// to them — while direct callers see a removed trace as unknown,
+// exactly like a new submission would. The persist phase is the
+// result-cache traversal minus the job's own computation: the
 // read-through Get, the codec, and the synchronous write-behind Put (or,
 // for a waiter, the wait on a concurrent leader).
-func (e *Engine) runJobTimed(ctx context.Context, spec JobSpec, pinned bool, pc *phaseClock) (*JobResult, error) {
+func (e *Engine) runJobTimed(ctx context.Context, spec JobSpec, runKey string, pinned bool, pc *phaseClock) (*JobResult, error) {
 	spec = spec.Normalised()
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -372,7 +368,7 @@ func (e *Engine) runJobTimed(ctx context.Context, spec JobSpec, pinned bool, pc 
 	var fillEnd time.Time
 	res, cached, err := e.results.do(ctx, id, func() (*JobResult, error) {
 		fillStart := time.Now()
-		r, serr := e.simulate(ctx, id, spec, pinned, pc)
+		r, serr := e.simulate(ctx, id, spec, runKey, pinned, pc)
 		fillEnd = time.Now()
 		fillDur = fillEnd.Sub(fillStart)
 		return r, serr
@@ -396,8 +392,8 @@ func (e *Engine) runJobTimed(ctx context.Context, spec JobSpec, pinned bool, pc 
 }
 
 // simulate is the uncached execution of one validated job. id is
-// spec.ID(), derived once by the caller.
-func (e *Engine) simulate(ctx context.Context, id string, spec JobSpec, pinned bool, pc *phaseClock) (*JobResult, error) {
+// spec.ID() and runKey spec.runKey(), both derived by the caller.
+func (e *Engine) simulate(ctx context.Context, id string, spec JobSpec, runKey string, pinned bool, pc *phaseClock) (*JobResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -410,7 +406,7 @@ func (e *Engine) simulate(ctx context.Context, id string, spec JobSpec, pinned b
 		return nil, err
 	}
 	g := spec.Geometry()
-	run, _, err := e.runs.do(ctx, spec.runKey(), func() (*core.RunResult, error) {
+	run, _, err := e.runs.do(ctx, runKey, func() (*core.RunResult, error) {
 		resolveStart := time.Now()
 		tr, err := e.traceFor(ctx, spec, g, pinned)
 		if err != nil {
@@ -638,8 +634,9 @@ func (e *Engine) Stats() Stats {
 	}
 }
 
-// Submit expands the sweep, enqueues every job on the pool, and returns
-// a handle immediately. ctx bounds expansion only; the sweep's own
+// Submit expands the sweep, enqueues its jobs on the pool one
+// simulation run at a time (see groupByRun), and returns a handle
+// immediately. ctx bounds expansion only; the sweep's own
 // lifetime is governed by the engine (Close) and the handle (Cancel).
 func (e *Engine) Submit(ctx context.Context, spec SweepSpec) (*Handle, error) {
 	if e.closed.Load() {
@@ -699,10 +696,38 @@ func (e *Engine) Submit(ctx context.Context, spec SweepSpec) (*Handle, error) {
 	e.sweepsTotal.Add(1)
 	e.jobsSubmitted.Add(uint64(len(jobs)))
 	now := time.Now()
-	for i := range jobs {
-		e.q.push(&task{h: h, idx: i, enq: now})
+	for _, g := range groupByRun(jobs) {
+		e.q.push(&task{h: h, runGroup: g, enq: now})
 	}
 	return h, nil
+}
+
+// runGroup is the jobs of one sweep that share a simulation run: they
+// differ at most in sleep mode and epochs, which enter only through the
+// aging projection.
+type runGroup struct {
+	key  string // JobSpec.runKey of every member
+	idxs []int  // job indices, in submission order
+}
+
+// groupByRun partitions a sweep's jobs by run key, in order of first
+// appearance. A group is the unit of queued work: one worker simulates
+// the run once and projects every member from it, so no worker idles
+// waiting on a run its neighbour is simulating for the same sweep.
+func groupByRun(jobs []JobSpec) []runGroup {
+	groups := make([]runGroup, 0, len(jobs))
+	at := make(map[string]int, len(jobs))
+	for i, j := range jobs {
+		k := j.runKey()
+		g, ok := at[k]
+		if !ok {
+			g = len(groups)
+			at[k] = g
+			groups = append(groups, runGroup{key: k})
+		}
+		groups[g].idxs = append(groups[g].idxs, i)
+	}
+	return groups
 }
 
 // batchPool holds batch-kernel chunk buffers shared by every engine in
@@ -710,11 +735,11 @@ func (e *Engine) Submit(ctx context.Context, spec SweepSpec) (*Handle, error) {
 // a worker's next job reuses the buffer its last job warmed.
 var batchPool = sync.Pool{New: func() any { return core.NewBatch(core.DefaultBatchSize) }}
 
-// task is one queued (sweep, job-index) pair. enq timestamps the push,
-// so the worker that pops it can report the queue wait.
+// task is one queued (sweep, run group) pair. enq timestamps the push,
+// so the worker that pops it can report each member's queue wait.
 type task struct {
-	h   *Handle
-	idx int
+	h *Handle
+	runGroup
 	enq time.Time
 }
 
@@ -737,14 +762,20 @@ func (e *Engine) worker() {
 	}
 }
 
+// execute runs a task's jobs in submission order. The first job that
+// misses the result cache simulates the group's run; every later member
+// finds it complete in the run cache and only projects and persists.
 func (e *Engine) execute(t *task, pc *phaseClock) {
-	spec := t.h.jobs[t.idx]
-	// Phase timing is a core result field — the cluster merges shard
-	// timings whatever the telemetry config — so the clock always runs;
-	// with a no-op recorder the observations are simply dropped, and the
-	// overhead guard holds that recording cost under 2%.
-	res := e.executeObserved(t, spec, pc)
-	t.h.record(t.idx, res, e)
+	deq := time.Now()
+	for _, idx := range t.idxs {
+		// Phase timing is a core result field — the cluster merges shard
+		// timings whatever the telemetry config — so the clock always
+		// runs; with a no-op recorder the observations are simply
+		// dropped, and the overhead guard holds that recording cost
+		// under 2%.
+		res := e.executeObserved(t, t.h.jobs[idx], deq, pc)
+		t.h.record(idx, res, e)
+	}
 }
 
 // failedResult wraps a job execution error as its recorded result.
@@ -758,11 +789,14 @@ func failedResult(spec JobSpec, err error) *JobResult {
 // taskQueue is an unbounded FIFO: Submit never blocks, and close wakes
 // every worker. Workers drain remaining tasks after close (they resolve
 // instantly as cancelled once the engine context is down), so every
-// submitted job is recorded exactly once and every Wait returns.
+// submitted job is recorded exactly once and every Wait returns. jobs
+// counts the job indices across queued tasks: the queue depth is
+// reported in jobs, whatever the grouping.
 type taskQueue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	tasks  []*task
+	jobs   int
 	closed bool
 }
 
@@ -775,6 +809,7 @@ func newTaskQueue() *taskQueue {
 func (q *taskQueue) push(t *task) {
 	q.mu.Lock()
 	q.tasks = append(q.tasks, t)
+	q.jobs += len(t.idxs)
 	q.mu.Unlock()
 	q.cond.Signal()
 }
@@ -790,6 +825,7 @@ func (q *taskQueue) pop() (*task, bool) {
 	}
 	t := q.tasks[0]
 	q.tasks = q.tasks[1:]
+	q.jobs -= len(t.idxs)
 	return t, true
 }
 
@@ -800,8 +836,9 @@ func (q *taskQueue) close() {
 	q.cond.Broadcast()
 }
 
+// size is the number of queued jobs.
 func (q *taskQueue) size() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return len(q.tasks)
+	return q.jobs
 }

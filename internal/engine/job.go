@@ -402,7 +402,9 @@ type JobResult struct {
 // JobTiming is one job execution's per-phase wall time, milliseconds.
 // Phases that did not run this time (a cached result skips resolve,
 // simulate and project; a shared run skips resolve and simulate) are
-// zero.
+// zero. QueueMs runs from enqueue to the worker's pickup of the job's
+// run group, so a job's wait behind earlier members of its group shows
+// in TotalMs alone.
 type JobTiming struct {
 	QueueMs    float64 `json:"queue_ms"`
 	ResolveMs  float64 `json:"resolve_ms,omitempty"`

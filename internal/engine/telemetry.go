@@ -217,17 +217,19 @@ func (e *Engine) observeStore(store cas.Store, label string) {
 	})
 }
 
-// executeObserved is the instrumented body of Engine.execute: it times
-// the queue wait and each execution phase, feeds the phase histogram,
-// annotates the result with its timing summary, and records the job's
-// span batch (one job span plus one child per phase) under the sweep's
-// trace in a single tracer call.
-func (e *Engine) executeObserved(t *task, spec JobSpec, pc *phaseClock) *JobResult {
+// executeObserved is the instrumented body of one job of Engine.execute:
+// it times the queue wait and each execution phase, feeds the phase
+// histogram, annotates the result with its timing summary, and records
+// the job's span batch (one job span plus one child per phase) under the
+// sweep's trace in a single tracer call. deq is when the worker popped
+// the job's task, so the queue phase is enqueue to task pickup for every
+// member of a run group; a member's wait behind earlier members of its
+// group shows in its total only.
+func (e *Engine) executeObserved(t *task, spec JobSpec, deq time.Time, pc *phaseClock) *JobResult {
 	h := t.h
-	start := time.Now()
 	pc.reset()
-	pc.add(phaseQueue, t.enq, start.Sub(t.enq))
-	res, err := e.runJobTimed(h.ctx, spec, true, pc)
+	pc.add(phaseQueue, t.enq, deq.Sub(t.enq))
+	res, err := e.runJobTimed(h.ctx, spec, t.key, true, pc)
 	if err != nil {
 		res = failedResult(spec, err)
 	}

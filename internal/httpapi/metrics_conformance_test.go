@@ -88,7 +88,21 @@ func TestMetricsConformance(t *testing.T) {
 		t.Fatalf("unmatched route status %d", code)
 	}
 
-	exposition := scrapeMetrics(t, ts.URL)
+	// The middleware observes a request after its handler returns, but a
+	// response larger than the server's write buffer reaches the client
+	// before that, so the last status poll's sample can land after the
+	// poll returns. Scrape until both route labels have samples, within
+	// a bounded deadline; the assertions below still run on the result.
+	var exposition []byte
+	for scrapeDeadline := time.Now().Add(10 * time.Second); ; {
+		exposition = scrapeMetrics(t, ts.URL)
+		text := string(exposition)
+		if strings.Contains(text, `route="GET /v1/sweeps/{id}"`) && strings.Contains(text, `route="unmatched"`) ||
+			time.Now().After(scrapeDeadline) {
+			break
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 	histograms := lintExposition(t, exposition)
 
 	if len(histograms) < 3 {
