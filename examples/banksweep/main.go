@@ -58,9 +58,10 @@ func main() {
 	}
 
 	first := grid[point{banks[0], "voltage-scaled"}]
-	fmt.Printf("%s on a %d kB cache, %d accesses (%d engine workers, %d simulations for %d grid points)\n\n",
+	st := eng.Stats()
+	fmt.Printf("%s on a %d kB cache, %d accesses (%d engine workers, %d trace simulations for %d grid points)\n\n",
 		*bench, *sizeKB, first.Run.Reads+first.Run.Writes,
-		eng.Workers(), eng.Stats().RunsExecuted, len(res.Jobs))
+		eng.Workers(), st.RunsExecuted-st.RunsRelabelled, len(res.Jobs))
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "banks\tEsav\tavg idleness\tLT (volt-scaled)\tLT (power-gated)\tbreakeven")
 	for _, m := range banks {

@@ -242,8 +242,9 @@ func (c *Cache) AccessBatch(addrs []uint64) uint64 {
 // (internal/core) probes inline, one load and one compare per access,
 // without a per-element call. Tags aliases the cache's own store, so
 // Flush (and fills through the normal entry points) stay visible to the
-// view and vice versa. A kernel probing through the view must report
-// its lookup tallies back through AddBatchStats to keep Stats whole.
+// view and vice versa. Lookups through the view bypass the hit/miss
+// counters: Stats counts only the cache's own entry points, and a
+// kernel probing the view keeps its own hit count.
 type DirectTags struct {
 	// Tags is the live tag-word array: tag<<1|valid per line, 0 invalid.
 	Tags []uint64
@@ -256,7 +257,10 @@ type DirectTags struct {
 
 // Direct returns the direct-mapped probe view. ok is false for a
 // set-associative organisation, whose way scan and LRU stamps cannot be
-// probed as a single tag word.
+// probed as a single tag word. The view stays valid for the cache's
+// lifetime, so a caller may hold it and re-key it at will: the
+// partitioned kernel indexes its banks' views by the region f() maps
+// onto each, rebuilt at every re-indexing update.
 func (c *Cache) Direct() (dt DirectTags, ok bool) {
 	if c.ways != 1 {
 		return DirectTags{}, false
@@ -268,14 +272,6 @@ func (c *Cache) Direct() (dt DirectTags, ok bool) {
 		IdxMask: c.idxMask,
 		TagMask: c.tagMask,
 	}, true
-}
-
-// AddBatchStats folds lookups performed externally through a Direct
-// view into the hit/miss counters, exactly as AccessBatch tallies its
-// own loop.
-func (c *Cache) AddBatchStats(hits, misses uint64) {
-	c.hits += hits
-	c.misses += misses
 }
 
 // Contains reports presence without updating LRU or counters.

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"nbticache/internal/cluster"
 	"nbticache/internal/cluster/clustertest"
@@ -226,7 +227,21 @@ func TestClusterSpanStitching(t *testing.T) {
 
 	// Coordinator /metrics: lint-clean exposition with the cluster
 	// histogram families and the per-shard series the traffic populated.
-	text, histograms := obsLint(t, srv.URL)
+	// The middleware observes a request after its handler returns, but a
+	// response larger than the server's write buffer (the stitched span
+	// tree) reaches the client before that, so the spans request's
+	// sample can land after GET spans has returned. Scrape until it has,
+	// within a bounded deadline; every assertion below runs on the last
+	// scrape.
+	var text string
+	var histograms []string
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		text, histograms = obsLint(t, srv.URL)
+		if strings.Contains(text, `route="GET /v1/sweeps/{id}/spans"`) || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 	if len(histograms) < 3 {
 		t.Fatalf("coordinator /metrics exposes %d histogram families (%v), want >= 3", len(histograms), histograms)
 	}

@@ -138,15 +138,26 @@ type PartitionedCache struct {
 	// The former per-access `count % UpdateEvery` is now a subtraction
 	// per batch segment.
 	untilUpdate uint64
+	// bankPending reports that the bank PMU has not been fed yet. Until
+	// the first Update, f() is one fixed one-to-one map, so bank
+	// bankTable[r] sees exactly region r's accesses: the fused kernel
+	// accounts the region PMU alone, syncBankPMU fills the bank PMU from
+	// it when an Update (or the general kernel) needs the bank side, and
+	// Result derives the bank stats from the region stats when nothing
+	// ever did.
+	bankPending bool
 
 	// Fused-path state, present when every bank is direct-mapped (the
 	// paper's organisation): each bank's flattened tag-word array and
 	// the shared address splits, captured once at New from the cache's
-	// Direct views. The fused kernel decodes, accounts both PMUs, and
-	// probes the tag store in one walk over the batch columns, with no
-	// intermediate region/bank/scatter buffers at all.
+	// Direct views. regionTags[r] is directTags[bankTable[r]], rebuilt
+	// with the table, so the fused kernel keys everything it touches by
+	// region: it decodes, accounts the PMUs, and probes the tag store in
+	// one walk over the batch columns, with no intermediate
+	// region/bank/scatter buffers at all.
 	fusable    bool
 	directTags [][]uint64
+	regionTags [][]uint64
 	dOff, dIdx uint
 	dIdxMask   uint64
 	dTagMask   uint64
@@ -163,9 +174,7 @@ type PartitionedCache struct {
 	regionBuf  []int32
 	bankBuf    []int32
 	scatterBuf []uint64
-	bankCount  []int32  // per-bank access count within one segment
-	bankPos    []int32  // per-bank scatter cursor within one segment
-	bankHits   []uint64 // fused path: per-bank hits within one call
+	bankPos    []int32 // per-bank scatter count, then cursor, within one segment
 	// one-element buffers backing the scalar Access wrapper.
 	s1cycle, s1addr [1]uint64
 	s1kind          [1]trace.Kind
@@ -182,14 +191,7 @@ func New(cfg Config) (*PartitionedCache, error) {
 		return nil, err
 	}
 	cfg = cfg.normalised()
-	var pol index.Policy
-	var err error
-	switch cfg.Policy {
-	case index.KindScrambling:
-		pol, err = index.NewScrambling(cfg.Banks, index.DefaultLFSRWidth, cfg.LFSRSeed)
-	default:
-		pol, err = index.New(cfg.Policy, cfg.Banks)
-	}
+	pol, err := newPolicy(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -198,16 +200,9 @@ func New(cfg Config) (*PartitionedCache, error) {
 	if err != nil {
 		return nil, err
 	}
-	be := cfg.BreakevenOverride
-	if be == 0 {
-		beF, err := cfg.Tech.BreakevenCycles(cfg.Geometry, cfg.Banks)
-		if err != nil {
-			return nil, err
-		}
-		be = uint64(beF)
-		if be < 1 {
-			be = 1
-		}
+	be, err := breakevenCycles(cfg)
+	if err != nil {
+		return nil, err
 	}
 	regionPMU, err := pmu.New(cfg.Banks, be)
 	if err != nil {
@@ -243,16 +238,16 @@ func New(cfg Config) (*PartitionedCache, error) {
 		regionShift: uint(cfg.Geometry.OffsetBits() + cfg.Geometry.IndexBits() - p),
 		regionMask:  uint64(cfg.Banks - 1),
 		bankTable:   make([]int32, cfg.Banks),
-		bankCount:   make([]int32, cfg.Banks),
 		bankPos:     make([]int32, cfg.Banks),
-		bankHits:    make([]uint64, cfg.Banks),
 		untilUpdate: cfg.UpdateEvery,
+		bankPending: true,
 	}
 	if dt, ok := banks[0].Direct(); ok {
 		// All banks share one geometry, so the splits come from bank 0
 		// and only the tag arrays are per-bank. The views alias each
 		// bank's live store: Update's flush clears them in place.
 		pc.directTags = make([][]uint64, cfg.Banks)
+		pc.regionTags = make([][]uint64, cfg.Banks)
 		for i, b := range banks {
 			v, _ := b.Direct()
 			pc.directTags[i] = v.Tags
@@ -265,17 +260,73 @@ func New(cfg Config) (*PartitionedCache, error) {
 	return pc, nil
 }
 
-// rebuildBankTable re-derives the region->bank table from the policy.
-// Each mapping still passes through the 1-hot encoder — the real
-// datapath of Fig. 1b, whose Encode panics on an out-of-range bank — so
-// the policy's range contract is enforced exactly once per epoch instead
-// of once per access.
-func (pc *PartitionedCache) rebuildBankTable() {
-	for r := range pc.bankTable {
-		b := pc.policy.Map(uint(r))
-		pc.encoder.Encode(b)
-		pc.bankTable[r] = int32(b)
+// newPolicy builds cfg's indexing policy in its first epoch.
+func newPolicy(cfg Config) (index.Policy, error) {
+	if cfg.Policy == index.KindScrambling {
+		return index.NewScrambling(cfg.Banks, index.DefaultLFSRWidth, cfg.LFSRSeed)
 	}
+	return index.New(cfg.Policy, cfg.Banks)
+}
+
+// breakevenCycles is cfg's Block Control threshold: the override, or
+// the energy model's breakeven time, at least one cycle.
+func breakevenCycles(cfg Config) (uint64, error) {
+	if cfg.BreakevenOverride != 0 {
+		return cfg.BreakevenOverride, nil
+	}
+	beF, err := cfg.Tech.BreakevenCycles(cfg.Geometry, cfg.Banks)
+	if err != nil {
+		return 0, err
+	}
+	return max(uint64(beF), 1), nil
+}
+
+// fillBankTable materialises the policy's current f() into table. Each
+// mapping still passes through the 1-hot encoder — the real datapath of
+// Fig. 1b, whose Encode panics on an out-of-range bank — so the policy's
+// range contract is enforced exactly once per epoch instead of once per
+// access.
+func fillBankTable(table []int32, pol index.Policy, enc *hw.OneHotEncoder) {
+	for r := range table {
+		b := pol.Map(uint(r))
+		enc.Encode(b)
+		table[r] = int32(b)
+	}
+}
+
+// rebuildBankTable re-derives the region->bank table, and the fused
+// kernel's per-region tag views, for the current epoch.
+func (pc *PartitionedCache) rebuildBankTable() {
+	fillBankTable(pc.bankTable, pc.policy, pc.encoder)
+	if pc.regionTags != nil {
+		for r, b := range pc.bankTable {
+			pc.regionTags[r] = pc.directTags[b]
+		}
+	}
+}
+
+// syncBankPMU ends the bank PMU's deferral: it copies the region PMU's
+// accounting, region r landing on bank bankTable[r], which is exactly
+// the state feeding the bank PMU directly would have built in the
+// epoch so far. The fused walk keeps its cursor in a local, so the
+// copied cursor may lag; the walk's closing EndFeed advances it.
+func (pc *PartitionedCache) syncBankPMU() {
+	if !pc.bankPending || pc.finished {
+		return
+	}
+	pc.bankPending = false
+	// Both feeds are available: neither PMU is finished, and core never
+	// enables histograms.
+	rf, _ := pc.regionPMU.BatchFeed()
+	bf, _ := pc.bankPMU.BatchFeed()
+	for r, b := range pc.bankTable {
+		bf.Last[b] = rf.Last[r]
+		bf.Useful[b] = rf.Useful[r]
+		bf.Sleep[b] = rf.Sleep[r]
+		bf.Intervals[b] = rf.Intervals[r]
+		bf.Accesses[b] = rf.Accesses[r]
+	}
+	pc.bankPMU.EndFeed(rf.Cursor)
 }
 
 // Breakeven returns the Block Control threshold in cycles.
@@ -340,13 +391,14 @@ func (pc *PartitionedCache) AccessBatch(cycles, addrs []uint64, kinds []trace.Ki
 //
 // Two interchangeable kernels implement it. The fused kernel (the
 // paper's direct-mapped organisation, no PMU histograms) performs the
-// region/bank decode, both PMUs' interval accounting, and the tag-store
-// probe in ONE walk over the batch columns — no region/bank buffers, no
-// scatter, no second or third pass over the cycle column. The general
-// kernel (set-associative banks, or idle histograms enabled) keeps the
-// decode + counting-scatter + per-bank sub-batch structure, with the
-// two PMU feeds fused into a single paired walk. A differential oracle
-// pins the two bit-identical.
+// region decode, the PMU interval accounting, and the tag-store probe
+// in ONE walk over the batch columns — no region/bank buffers, no
+// scatter, no second or third pass over the cycle column — and, until
+// the first update, accounts the region PMU alone (see bankPending).
+// The general kernel (set-associative banks, or idle histograms
+// enabled) keeps the decode + counting-scatter + per-bank sub-batch
+// structure and feeds both PMUs directly in a single paired walk. A
+// differential oracle pins the two bit-identical.
 func (pc *PartitionedCache) accessBatch(cycles, addrs []uint64, kinds []trace.Kind) (hits uint64, applied int, err error) {
 	if pc.finished {
 		return 0, 0, ErrFinished
@@ -369,24 +421,25 @@ func (pc *PartitionedCache) accessBatch(cycles, addrs []uint64, kinds []trace.Ki
 	return pc.accessBatchGeneral(cycles, addrs, kinds)
 }
 
-// accessBatchFused is the single-pass kernel: decode, dual PMU interval
+// accessBatchFused is the single-pass kernel: decode, PMU interval
 // accounting and direct-mapped tag probe per element, counters in
-// locals, one flush at the end. Segmentation at UpdateEvery boundaries
-// and partial application on a cycle-order violation are identical to
-// the general kernel.
+// locals, one flush at the end. Every per-element lookup is keyed by
+// region; the bank table is consulted only to feed the bank PMU, and
+// only once an update has ended its deferral. Segmentation at
+// UpdateEvery boundaries and partial application on a cycle-order
+// violation are identical to the general kernel.
 func (pc *PartitionedCache) accessBatchFused(cycles, addrs []uint64, kinds []trace.Kind, rf, bf pmu.Feed) (hits uint64, applied int, err error) {
 	n := len(addrs)
 	shift, mask, table := pc.regionShift, pc.regionMask, pc.bankTable
 	off, ib := pc.dOff, pc.dIdx
 	im, tm := pc.dIdxMask, pc.dTagMask
-	tags := pc.directTags
-	counts, bankHits := pc.bankCount, pc.bankHits
+	tags := pc.regionTags
 	// Both PMUs carry the same Block Control threshold and, fed in
 	// lockstep, the same cursor.
 	be := rf.Breakeven
 	rl, ru, rs, ri, ra := rf.Last, rf.Useful, rf.Sleep, rf.Intervals, rf.Accesses
 	bl, bu, bs, bi, ba := bf.Last, bf.Useful, bf.Sleep, bf.Intervals, bf.Accesses
-	var reads, writes uint64
+	var writes uint64
 	prev := rf.Cursor
 	i := 0
 	for i < n {
@@ -398,51 +451,80 @@ func (pc *PartitionedCache) accessBatchFused(cycles, addrs []uint64, kinds []tra
 		j := i
 		var unordered bool
 		var badCycle uint64
-		for ; j < end; j++ {
-			c := cycles[j]
-			if c < prev {
-				unordered, badCycle = true, c
-				break
-			}
-			prev = c
-			a := addrs[j]
-			r := (a >> shift) & mask
-			b := table[r]
-			// Region PMU: close a >breakeven idle gap, stamp, count.
-			if s := rl[r]; c > s {
-				if gap := c - s; gap > be {
-					ru[r] += gap
-					rs[r] += gap - be
-					ri[r]++
+		if pc.bankPending {
+			for ; j < end; j++ {
+				c := cycles[j]
+				if c < prev {
+					unordered, badCycle = true, c
+					break
+				}
+				prev = c
+				a := addrs[j]
+				r := (a >> shift) & mask
+				// Region PMU: close a >breakeven idle gap, stamp, count.
+				if s := rl[r]; c > s {
+					if gap := c - s; gap > be {
+						ru[r] += gap
+						rs[r] += gap - be
+						ri[r]++
+					}
+				}
+				rl[r] = c
+				ra[r]++
+				// Direct-mapped probe: one load, one compare, fill on miss.
+				la := a >> off
+				word := ((la>>ib)&tm)<<1 | 1
+				t := tags[r]
+				if set := la & im; t[set] == word {
+					hits++
+				} else {
+					t[set] = word
+				}
+				if kinds[j] == trace.Write {
+					writes++
 				}
 			}
-			rl[r] = c
-			ra[r]++
-			// Bank PMU, same accounting keyed by the physical bank.
-			if s := bl[b]; c > s {
-				if gap := c - s; gap > be {
-					bu[b] += gap
-					bs[b] += gap - be
-					bi[b]++
+		} else {
+			for ; j < end; j++ {
+				c := cycles[j]
+				if c < prev {
+					unordered, badCycle = true, c
+					break
 				}
-			}
-			bl[b] = c
-			ba[b]++
-			// Direct-mapped probe: one load, one compare, fill on miss.
-			la := a >> off
-			word := ((la>>ib)&tm)<<1 | 1
-			t := tags[b]
-			if set := la & im; t[set] == word {
-				hits++
-				bankHits[b]++
-			} else {
-				t[set] = word
-			}
-			counts[b]++
-			if kinds[j] == trace.Write {
-				writes++
-			} else {
-				reads++
+				prev = c
+				a := addrs[j]
+				r := (a >> shift) & mask
+				if s := rl[r]; c > s {
+					if gap := c - s; gap > be {
+						ru[r] += gap
+						rs[r] += gap - be
+						ri[r]++
+					}
+				}
+				rl[r] = c
+				ra[r]++
+				// Bank PMU, same accounting keyed by the physical bank.
+				b := table[r]
+				if s := bl[b]; c > s {
+					if gap := c - s; gap > be {
+						bu[b] += gap
+						bs[b] += gap - be
+						bi[b]++
+					}
+				}
+				bl[b] = c
+				ba[b]++
+				la := a >> off
+				word := ((la>>ib)&tm)<<1 | 1
+				t := tags[r]
+				if set := la & im; t[set] == word {
+					hits++
+				} else {
+					t[set] = word
+				}
+				if kinds[j] == trace.Write {
+					writes++
+				}
 			}
 		}
 		if unordered && err == nil {
@@ -462,17 +544,14 @@ func (pc *PartitionedCache) accessBatchFused(cycles, addrs []uint64, kinds []tra
 			break
 		}
 	}
-	// One flush: local tallies to the struct fields, the walk's cursor
-	// to both PMUs, per-bank lookups to the cache stats.
-	pc.reads += reads
+	// One flush: local tallies to the struct fields (every applied
+	// access that is not a write tallies as a read), the walk's cursor
+	// to the PMUs it fed.
+	pc.reads += uint64(i) - writes
 	pc.writes += writes
 	pc.regionPMU.EndFeed(prev)
-	pc.bankPMU.EndFeed(prev)
-	for b, cnt := range counts {
-		if cnt > 0 {
-			pc.banks[b].AddBatchStats(bankHits[b], uint64(cnt)-bankHits[b])
-			counts[b], bankHits[b] = 0, 0
-		}
+	if !pc.bankPending {
+		pc.bankPMU.EndFeed(prev)
 	}
 	return hits, i, err
 }
@@ -480,6 +559,9 @@ func (pc *PartitionedCache) accessBatchFused(cycles, addrs []uint64, kinds []tra
 // accessBatchGeneral is the scatter kernel: decode pass, stable
 // counting scatter into per-bank sub-batches, paired PMU walk.
 func (pc *PartitionedCache) accessBatchGeneral(cycles, addrs []uint64, kinds []trace.Kind) (hits uint64, applied int, err error) {
+	// This kernel feeds the bank PMU directly, so it first ends any
+	// deferral (a no-op after the first batch).
+	pc.syncBankPMU()
 	n := len(addrs)
 	if cap(pc.regionBuf) < n {
 		pc.regionBuf = make([]int32, n)
@@ -489,7 +571,8 @@ func (pc *PartitionedCache) accessBatchGeneral(cycles, addrs []uint64, kinds []t
 	regionBuf, bankBuf := pc.regionBuf[:n], pc.bankBuf[:n]
 	scatter := pc.scatterBuf[:n]
 	shift, mask, table := pc.regionShift, pc.regionMask, pc.bankTable
-	var reads, writes uint64
+	pos := pc.bankPos
+	var writes uint64
 	prev := pc.regionPMU.Cursor()
 	i := 0
 	for i < n {
@@ -498,10 +581,9 @@ func (pc *PartitionedCache) accessBatchGeneral(cycles, addrs []uint64, kinds []t
 		if pc.cfg.UpdateEvery > 0 && uint64(end-i) > pc.untilUpdate {
 			end = i + int(pc.untilUpdate)
 		}
-		// Decode regions and banks and count kinds and per-bank runs.
+		// Decode regions and banks and count writes and per-bank runs.
 		// Stops early at a cycle-order violation so the offending access
 		// is not applied anywhere.
-		counts := pc.bankCount
 		j := i
 		var unordered bool
 		var badCycle uint64
@@ -516,19 +598,17 @@ func (pc *PartitionedCache) accessBatchGeneral(cycles, addrs []uint64, kinds []t
 			regionBuf[j] = r
 			b := table[r]
 			bankBuf[j] = b
-			counts[b]++
+			pos[b]++
 			if kinds[j] == trace.Write {
 				writes++
-			} else {
-				reads++
 			}
 		}
-		// Stable counting scatter: group the segment's addresses by bank
-		// in one flat buffer, then run each bank's sub-batch through the
-		// cache's batch entry point.
-		pos := pc.bankPos
+		// Stable counting scatter: turn the per-bank counts into start
+		// offsets, group the segment's addresses by bank in one flat
+		// buffer (leaving pos[b] at bank b's end offset), then run each
+		// bank's sub-batch through the cache's batch entry point.
 		off := int32(0)
-		for b, cnt := range counts {
+		for b, cnt := range pos {
 			pos[b] = off
 			off += cnt
 		}
@@ -538,12 +618,12 @@ func (pc *PartitionedCache) accessBatchGeneral(cycles, addrs []uint64, kinds []t
 			pos[b]++
 		}
 		start := int32(0)
-		for b, cnt := range counts {
-			if cnt > 0 {
-				hits += pc.banks[b].AccessBatch(scatter[start : start+cnt])
-				counts[b] = 0
+		for b, stop := range pos {
+			if stop > start {
+				hits += pc.banks[b].AccessBatch(scatter[start:stop])
 			}
-			start += cnt
+			start = stop
+			pos[b] = 0
 		}
 		// One paired walk feeds both PMUs from the decoded keys.
 		err = pmu.AccessBatchPair(pc.regionPMU, pc.bankPMU, regionBuf[i:j], bankBuf[i:j], cycles[i:j])
@@ -564,7 +644,7 @@ func (pc *PartitionedCache) accessBatchGeneral(cycles, addrs []uint64, kinds []t
 			break
 		}
 	}
-	pc.reads += reads
+	pc.reads += uint64(i) - writes
 	pc.writes += writes
 	return hits, i, err
 }
@@ -573,14 +653,21 @@ func (pc *PartitionedCache) accessBatchGeneral(cycles, addrs []uint64, kinds []t
 // is flushed ("every time the indexing is updated ... a cache flush is
 // required"). The region->bank table is re-derived for the new epoch and
 // the UpdateEvery countdown restarts, so the next in-trace update fires
-// UpdateEvery accesses after this one.
+// UpdateEvery accesses after this one. The first update also hands the
+// bank PMU over from the region PMU through the outgoing table (see
+// bankPending); the fused kernel feeds both from then on. After Finish
+// the table is left as is: it no longer routes accesses, and Result
+// labels a still-deferred bank side with it.
 func (pc *PartitionedCache) Update() {
+	pc.syncBankPMU()
 	pc.policy.Update()
 	for _, b := range pc.banks {
 		b.Flush()
 	}
 	pc.updates++
-	pc.rebuildBankTable()
+	if !pc.finished {
+		pc.rebuildBankTable()
+	}
 	pc.untilUpdate = pc.cfg.UpdateEvery
 }
 
@@ -592,8 +679,11 @@ func (pc *PartitionedCache) Finish(endCycle uint64) error {
 	if err := pc.regionPMU.Finish(endCycle); err != nil {
 		return err
 	}
-	if err := pc.bankPMU.Finish(endCycle); err != nil {
-		return err
+	// A bank PMU still deferred is never fed: Result derives its stats.
+	if !pc.bankPending {
+		if err := pc.bankPMU.Finish(endCycle); err != nil {
+			return err
+		}
 	}
 	pc.span = endCycle
 	pc.finished = true

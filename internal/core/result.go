@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"nbticache/internal/cache"
+	"nbticache/internal/hw"
 	"nbticache/internal/pmu"
 	"nbticache/internal/power"
 	"nbticache/internal/stats"
@@ -236,9 +238,14 @@ func (pc *PartitionedCache) Result(name string, hits uint64) (*RunResult, error)
 	if err != nil {
 		return nil, err
 	}
-	bankStats, err := pc.bankPMU.Results()
-	if err != nil {
-		return nil, err
+	// A bank PMU never fed (no update fired under the fused kernel) is
+	// derived from the region stats through the table, which is the
+	// run's only one.
+	var bankStats []pmu.BankStats
+	if !pc.bankPending {
+		if bankStats, err = pc.bankPMU.Results(); err != nil {
+			return nil, err
+		}
 	}
 	res := &RunResult{
 		Name:         name,
@@ -253,35 +260,116 @@ func (pc *PartitionedCache) Result(name string, hits uint64) (*RunResult, error)
 		Breakeven:    pc.breakeven,
 		CounterWidth: pc.width,
 		RegionStats:  regionStats,
-		BankStats:    bankStats,
 	}
+	if err := res.fillBankSide(pc.cfg, bankStats, pc.bankTable); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// Relabel derives cfg's run from base, a run of the same trace on the
+// same geometry and bank count in which no re-indexing update fired.
+// Within an epoch f() maps regions one-to-one onto banks, and idleness
+// is measured per region before f(), so such a run's region stats, hits
+// and misses are the same under every policy: only the labels of the
+// bank-side stats differ, and the energy that sums them. Relabel
+// rebuilds those under cfg's first-epoch f(), with no trace walk. The
+// result is bit-identical to simulating cfg directly.
+//
+// Relabel errors when base saw an update, when cfg would fire one
+// within base's trace, or when base's bank count or Block Control
+// threshold does not match cfg. A run records neither its trace nor its
+// geometry, so matching those is the caller's part.
+func Relabel(base *RunResult, cfg Config) (*RunResult, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	cfg = cfg.normalised()
+	accesses := base.Reads + base.Writes
+	switch {
+	case base.Updates != 0:
+		return nil, fmt.Errorf("core: cannot relabel a run with %d re-indexing updates", base.Updates)
+	case cfg.UpdateEvery > 0 && cfg.UpdateEvery <= accesses:
+		return nil, fmt.Errorf("core: cannot relabel into UpdateEvery %d: an update fires within the %d-access trace",
+			cfg.UpdateEvery, accesses)
+	case base.Banks != cfg.Banks || len(base.RegionStats) != cfg.Banks:
+		return nil, fmt.Errorf("core: cannot relabel a %d-bank run into %d banks", base.Banks, cfg.Banks)
+	}
+	be, err := breakevenCycles(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if be != base.Breakeven {
+		return nil, fmt.Errorf("core: cannot relabel a run with breakeven %d into breakeven %d", base.Breakeven, be)
+	}
+	pol, err := newPolicy(cfg)
+	if err != nil {
+		return nil, err
+	}
+	enc, err := hw.NewOneHotEncoder(log2(cfg.Banks))
+	if err != nil {
+		return nil, err
+	}
+	table := make([]int32, cfg.Banks)
+	fillBankTable(table, pol, enc)
+	res := &RunResult{
+		Name:         base.Name,
+		Banks:        cfg.Banks,
+		PolicyName:   pol.Name(),
+		Reads:        base.Reads,
+		Writes:       base.Writes,
+		Hits:         base.Hits,
+		Misses:       base.Misses,
+		SpanCycles:   base.SpanCycles,
+		Breakeven:    be,
+		CounterWidth: power.CounterWidth(float64(be)),
+		RegionStats:  slices.Clone(base.RegionStats),
+	}
+	if err := res.fillBankSide(cfg, nil, table); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// fillBankSide sets the bank stats and the energy the rails see.
+// bankStats nil means no update fired and the bank PMU was never fed:
+// bank table[r] then saw exactly region r's accesses, so its stats are
+// region r's under that label.
+func (res *RunResult) fillBankSide(cfg Config, bankStats []pmu.BankStats, table []int32) error {
+	if bankStats == nil {
+		bankStats = make([]pmu.BankStats, len(table))
+		for r, b := range table {
+			bankStats[b] = res.RegionStats[r]
+		}
+	}
+	res.BankStats = bankStats
 	sleep := make([]uint64, len(bankStats))
 	wakes := make([]uint64, len(bankStats))
 	for i, s := range bankStats {
 		sleep[i] = s.SleepCycles
 		wakes[i] = s.Wakeups
 	}
-	usage := power.Usage{
-		Reads:       pc.reads,
-		Writes:      pc.writes,
-		SpanCycles:  pc.span,
+	var err error
+	res.Energy, err = cfg.Tech.Energy(cfg.Geometry, cfg.Banks, power.Usage{
+		Reads:       res.Reads,
+		Writes:      res.Writes,
+		SpanCycles:  res.SpanCycles,
 		SleepCycles: sleep,
 		Wakeups:     wakes,
-	}
-	res.Energy, err = pc.cfg.Tech.Energy(pc.cfg.Geometry, pc.cfg.Banks, usage)
-	if err != nil {
-		return nil, err
-	}
-	res.Baseline, err = pc.cfg.Tech.Energy(pc.cfg.Geometry, 1, power.Usage{
-		Reads:      pc.reads,
-		Writes:     pc.writes,
-		SpanCycles: pc.span,
 	})
 	if err != nil {
-		return nil, err
+		return err
+	}
+	res.Baseline, err = cfg.Tech.Energy(cfg.Geometry, 1, power.Usage{
+		Reads:      res.Reads,
+		Writes:     res.Writes,
+		SpanCycles: res.SpanCycles,
+	})
+	if err != nil {
+		return err
 	}
 	res.Savings = power.Savings(res.Baseline, res.Energy)
-	return res, nil
+	return nil
 }
 
 // MonolithicResult summarises a conventional non-partitioned cache run —

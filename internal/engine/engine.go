@@ -97,9 +97,12 @@ type Engine struct {
 	// runs caches the trace simulation itself, keyed by the fields that
 	// affect it (workload, geometry, banks, policy, update cadence):
 	// jobs differing only in sleep mode or epochs share one run, since
-	// those enter through the aging projection alone. Runs are derived
-	// data — every persisted JobResult embeds its run — so this layer
-	// stays in-memory.
+	// those enter through the aging projection alone. An entry is filled
+	// by walking the trace through the kernel or, for a sweep member
+	// whose run group already holds a run without updates, by
+	// relabelling that run under the member's policy (see execute). Runs
+	// are derived data — every persisted JobResult embeds its run — so
+	// this layer stays in-memory.
 	runs *flightCache[*core.RunResult]
 	// results is the job-result cache: a typed adapter over resultStore
 	// (cas.MemStore or cas.DiskStore per Options.DataDir), so completed
@@ -128,6 +131,7 @@ type Engine struct {
 	activeWorkers  atomic.Int64
 	tracesBuilt    atomic.Uint64
 	tracesUploaded atomic.Uint64
+	runsRelabelled atomic.Uint64
 }
 
 // The default aging characterisation is memoised process-wide: building
@@ -343,19 +347,23 @@ func (e *Engine) genTraceFor(ctx context.Context, bench string, g cache.Geometry
 // resolves from disk without re-simulating. This is the path the
 // experiment suite memoises through.
 func (e *Engine) RunJob(ctx context.Context, spec JobSpec) (*JobResult, error) {
-	return e.runJobTimed(ctx, spec, spec.runKey(), false, nil)
+	return e.runJobTimed(ctx, spec, spec.runKey(), nil, false, nil)
 }
 
-// runJobTimed is RunJob with the caller's run key, pin state and phase
-// clock made explicit. runKey is spec.runKey(), which sweep workers
-// carry from Submit's grouping rather than derive again. Sweep workers (pinned=true) may resolve condemned traces — their
+// runJobTimed is RunJob with the caller's run key, relabelling base,
+// pin state and phase clock made explicit. runKey is spec.runKey(),
+// which sweep workers carry from Submit's grouping rather than derive
+// again. A non-nil base is a run without updates of the same trace,
+// geometry and banks, which fills a missing run by relabelling (see
+// simulate); RunJob passes none and always walks the trace. Sweep
+// workers (pinned=true) may resolve condemned traces — their
 // sweep pinned the trace at submission, so a concurrent DELETE defers
 // to them — while direct callers see a removed trace as unknown,
 // exactly like a new submission would. The persist phase is the
 // result-cache traversal minus the job's own computation: the
 // read-through Get, the codec, and the synchronous write-behind Put (or,
 // for a waiter, the wait on a concurrent leader).
-func (e *Engine) runJobTimed(ctx context.Context, spec JobSpec, runKey string, pinned bool, pc *phaseClock) (*JobResult, error) {
+func (e *Engine) runJobTimed(ctx context.Context, spec JobSpec, runKey string, base *core.RunResult, pinned bool, pc *phaseClock) (*JobResult, error) {
 	spec = spec.Normalised()
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -368,7 +376,7 @@ func (e *Engine) runJobTimed(ctx context.Context, spec JobSpec, runKey string, p
 	var fillEnd time.Time
 	res, cached, err := e.results.do(ctx, id, func() (*JobResult, error) {
 		fillStart := time.Now()
-		r, serr := e.simulate(ctx, id, spec, runKey, pinned, pc)
+		r, serr := e.simulate(ctx, id, spec, runKey, base, pinned, pc)
 		fillEnd = time.Now()
 		fillDur = fillEnd.Sub(fillStart)
 		return r, serr
@@ -392,8 +400,11 @@ func (e *Engine) runJobTimed(ctx context.Context, spec JobSpec, runKey string, p
 }
 
 // simulate is the uncached execution of one validated job. id is
-// spec.ID() and runKey spec.runKey(), both derived by the caller.
-func (e *Engine) simulate(ctx context.Context, id string, spec JobSpec, runKey string, pinned bool, pc *phaseClock) (*JobResult, error) {
+// spec.ID() and runKey spec.runKey(), both derived by the caller. A
+// missing run is filled by relabelling base when there is one, and by
+// walking the trace otherwise; either way it lands in the run cache
+// under runKey and its time in the simulate phase.
+func (e *Engine) simulate(ctx context.Context, id string, spec JobSpec, runKey string, base *core.RunResult, pinned bool, pc *phaseClock) (*JobResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -406,7 +417,24 @@ func (e *Engine) simulate(ctx context.Context, id string, spec JobSpec, runKey s
 		return nil, err
 	}
 	g := spec.Geometry()
+	cfg := core.Config{
+		Geometry:    g,
+		Banks:       spec.Banks,
+		Policy:      kind,
+		Tech:        e.tech,
+		UpdateEvery: spec.UpdateEvery,
+	}
 	run, _, err := e.runs.do(ctx, runKey, func() (*core.RunResult, error) {
+		if base != nil {
+			simStart := time.Now()
+			res, err := core.Relabel(base, cfg)
+			if err != nil {
+				return nil, err
+			}
+			e.runsRelabelled.Add(1)
+			pc.add(phaseSimulate, simStart, time.Since(simStart))
+			return res, nil
+		}
 		resolveStart := time.Now()
 		tr, err := e.traceFor(ctx, spec, g, pinned)
 		if err != nil {
@@ -417,13 +445,7 @@ func (e *Engine) simulate(ctx context.Context, id string, spec JobSpec, runKey s
 			return nil, err
 		}
 		simStart := time.Now()
-		sim, err := core.New(core.Config{
-			Geometry:    g,
-			Banks:       spec.Banks,
-			Policy:      kind,
-			Tech:        e.tech,
-			UpdateEvery: spec.UpdateEvery,
-		})
+		sim, err := core.New(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -551,13 +573,17 @@ type Stats struct {
 	CacheHits     uint64 `json:"cache_hits"`
 	CacheMisses   uint64 `json:"cache_misses"`
 	CachedResults int    `json:"cached_results"`
-	// RunsExecuted counts trace simulations actually performed;
-	// RunsShared counts jobs that reused another job's simulation
-	// (same point up to sleep mode/epochs).
-	RunsExecuted uint64 `json:"runs_executed"`
-	RunsShared   uint64 `json:"runs_shared"`
-	TracesBuilt  uint64 `json:"traces_built"`
-	TracesCached int    `json:"traces_cached"`
+	// RunsExecuted counts run-cache fills: runs produced, by walking
+	// the trace or by relabelling; RunsRelabelled counts the fills that
+	// relabelled a sibling policy's run, so RunsExecuted -
+	// RunsRelabelled is the number of trace walks. RunsShared counts
+	// jobs that reused another job's run (same point up to sleep
+	// mode/epochs).
+	RunsExecuted   uint64 `json:"runs_executed"`
+	RunsRelabelled uint64 `json:"runs_relabelled"`
+	RunsShared     uint64 `json:"runs_shared"`
+	TracesBuilt    uint64 `json:"traces_built"`
+	TracesCached   int    `json:"traces_cached"`
 	// TracesUploaded counts real traces admitted through AddTrace;
 	// TracesStored is the resident uploaded-trace count.
 	TracesUploaded uint64 `json:"traces_uploaded"`
@@ -614,6 +640,7 @@ func (e *Engine) Stats() Stats {
 		CacheMisses:    e.results.misses.Load(),
 		CachedResults:  e.results.size(),
 		RunsExecuted:   e.runs.misses.Load(),
+		RunsRelabelled: e.runsRelabelled.Load(),
 		RunsShared:     e.runs.hits.Load(),
 		TracesBuilt:    e.tracesBuilt.Load(),
 		TracesCached:   e.traces.size(),
@@ -702,30 +729,33 @@ func (e *Engine) Submit(ctx context.Context, spec SweepSpec) (*Handle, error) {
 	return h, nil
 }
 
-// runGroup is the jobs of one sweep that share a simulation run: they
+// runGroup is the jobs of one sweep that share a trace walk: they
 // differ at most in sleep mode and epochs, which enter only through the
-// aging projection.
+// aging projection, and, when no in-trace update fires, in policy,
+// which then only relabels the bank side of the run.
 type runGroup struct {
-	key  string // JobSpec.runKey of every member
-	idxs []int  // job indices, in submission order
+	idxs []int    // job indices, in submission order
+	keys []string // keys[k] is the run key of job idxs[k]
 }
 
-// groupByRun partitions a sweep's jobs by run key, in order of first
-// appearance. A group is the unit of queued work: one worker simulates
-// the run once and projects every member from it, so no worker idles
-// waiting on a run its neighbour is simulating for the same sweep.
+// groupByRun partitions a sweep's jobs by walk key, in order of first
+// appearance. A group is the unit of queued work: one worker walks the
+// trace once and derives every member from that run, so no worker
+// idles waiting on a run its neighbour is simulating for the same
+// sweep, and no policy sibling walks the trace again.
 func groupByRun(jobs []JobSpec) []runGroup {
 	groups := make([]runGroup, 0, len(jobs))
 	at := make(map[string]int, len(jobs))
 	for i, j := range jobs {
-		k := j.runKey()
-		g, ok := at[k]
+		w := j.walkKey()
+		g, ok := at[w]
 		if !ok {
 			g = len(groups)
-			at[k] = g
-			groups = append(groups, runGroup{key: k})
+			at[w] = g
+			groups = append(groups, runGroup{})
 		}
 		groups[g].idxs = append(groups[g].idxs, i)
+		groups[g].keys = append(groups[g].keys, j.runKey())
 	}
 	return groups
 }
@@ -763,17 +793,25 @@ func (e *Engine) worker() {
 }
 
 // execute runs a task's jobs in submission order. The first job that
-// misses the result cache simulates the group's run; every later member
-// finds it complete in the run cache and only projects and persists.
+// misses the result cache walks the trace (or shares a run already in
+// the run cache); a later member with the same run finds it complete
+// and only projects and persists, and one with another policy fills
+// its own run-cache entry by relabelling that run. The run relabelled
+// is always one this task obtained from the run cache, never one
+// decoded from a result-cache hit.
 func (e *Engine) execute(t *task, pc *phaseClock) {
 	deq := time.Now()
-	for _, idx := range t.idxs {
+	var base *core.RunResult
+	for k, idx := range t.idxs {
 		// Phase timing is a core result field — the cluster merges shard
 		// timings whatever the telemetry config — so the clock always
 		// runs; with a no-op recorder the observations are simply
 		// dropped, and the overhead guard holds that recording cost
 		// under 2%.
-		res := e.executeObserved(t, t.h.jobs[idx], deq, pc)
+		res := e.executeObserved(t, t.h.jobs[idx], t.keys[k], base, deq, pc)
+		if base == nil && !res.Failed() && !res.Cached && res.Spec.UpdateEvery == 0 {
+			base = res.Run
+		}
 		t.h.record(idx, res, e)
 	}
 }

@@ -212,6 +212,18 @@ func (j JobSpec) runKey() string {
 	return fmt.Sprintf("%s|%d|%d|%d|%s|%d", n.workloadKey(), n.SizeKB, n.LineBytes, n.Banks, n.Policy, n.UpdateEvery)
 }
 
+// walkKey addresses one walk of the trace through the kernel. It is the
+// run key less the policy when no in-trace update fires: every policy's
+// run is then a relabelling of any other's (core.Relabel), so jobs that
+// differ only in policy, sleep mode or epochs share one walk.
+func (j JobSpec) walkKey() string {
+	n := j.Normalised()
+	if n.UpdateEvery > 0 {
+		return n.runKey()
+	}
+	return fmt.Sprintf("%s|%d|%d|%d|*|0", n.workloadKey(), n.SizeKB, n.LineBytes, n.Banks)
+}
+
 // SweepSpec describes a set of jobs. Jobs lists explicit points;
 // the axis fields add the cartesian product Benches × SizesKB ×
 // LineBytes × Banks × Policies × Modes. Either part may be empty; an

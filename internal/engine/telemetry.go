@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"nbticache/internal/cas"
+	"nbticache/internal/core"
 	"nbticache/internal/obs"
 )
 
@@ -156,7 +157,8 @@ func (e *Engine) registerMetrics() {
 		{"nbtiserved_cache_hits_total", "counter", "Result-cache hits.", func(s Stats) float64 { return float64(s.CacheHits) }},
 		{"nbtiserved_cache_misses_total", "counter", "Result-cache misses.", func(s Stats) float64 { return float64(s.CacheMisses) }},
 		{"nbtiserved_cached_results", "gauge", "Distinct results resident in the cache.", func(s Stats) float64 { return float64(s.CachedResults) }},
-		{"nbtiserved_runs_executed_total", "counter", "Trace simulations performed.", func(s Stats) float64 { return float64(s.RunsExecuted) }},
+		{"nbtiserved_runs_executed_total", "counter", "Simulation runs produced, by trace walk or relabelling.", func(s Stats) float64 { return float64(s.RunsExecuted) }},
+		{"nbtiserved_runs_relabelled_total", "counter", "Runs produced by relabelling another policy's run instead of walking the trace.", func(s Stats) float64 { return float64(s.RunsRelabelled) }},
 		{"nbtiserved_runs_shared_total", "counter", "Jobs that reused another job's simulation.", func(s Stats) float64 { return float64(s.RunsShared) }},
 		{"nbtiserved_traces_built_total", "counter", "Synthetic traces generated.", func(s Stats) float64 { return float64(s.TracesBuilt) }},
 		{"nbtiserved_traces_uploaded_total", "counter", "Real traces admitted via POST /v1/traces.", func(s Stats) float64 { return float64(s.TracesUploaded) }},
@@ -225,11 +227,11 @@ func (e *Engine) observeStore(store cas.Store, label string) {
 // the job's task, so the queue phase is enqueue to task pickup for every
 // member of a run group; a member's wait behind earlier members of its
 // group shows in its total only.
-func (e *Engine) executeObserved(t *task, spec JobSpec, deq time.Time, pc *phaseClock) *JobResult {
+func (e *Engine) executeObserved(t *task, spec JobSpec, runKey string, base *core.RunResult, deq time.Time, pc *phaseClock) *JobResult {
 	h := t.h
 	pc.reset()
 	pc.add(phaseQueue, t.enq, deq.Sub(t.enq))
-	res, err := e.runJobTimed(h.ctx, spec, t.key, true, pc)
+	res, err := e.runJobTimed(h.ctx, spec, runKey, base, true, pc)
 	if err != nil {
 		res = failedResult(spec, err)
 	}
